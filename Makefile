@@ -30,6 +30,11 @@ test:
 race:
 	$(GO) test -race -short ./...
 
+# Quick benchmark runs assert their gates but write their artifact to
+# the temp dir, so `make check` never overwrites the committed
+# full-scale BENCH_*.json files.
+QUICK_OUT = $${TMPDIR:-/tmp}
+
 # Seed benchmarks (paper headline metrics); -benchmem surfaces the
 # nil-tracer 0 allocs/op guarantee in obs and sat.
 bench:
@@ -45,7 +50,7 @@ bench-incremental:
 	$(GO) run ./cmd/aedbench -experiment incremental -scale full -out BENCH_incremental.json
 
 bench-incremental-quick:
-	$(GO) run ./cmd/aedbench -experiment incremental -scale quick -out BENCH_incremental.json
+	$(GO) run ./cmd/aedbench -experiment incremental -scale quick -out $(QUICK_OUT)/BENCH_incremental-quick.json
 
 # Live-instance re-solve benchmark (tier-2 of the session ladder): a
 # one-line local-preference edit re-solved by flipping retractable
@@ -56,7 +61,7 @@ bench-resolve:
 	$(GO) run ./cmd/aedbench -experiment resolve -scale full -out BENCH_resolve.json
 
 bench-resolve-quick:
-	$(GO) run ./cmd/aedbench -experiment resolve -scale quick -out BENCH_resolve.json
+	$(GO) run ./cmd/aedbench -experiment resolve -scale quick -out $(QUICK_OUT)/BENCH_resolve-quick.json
 
 # Short fuzz passes on every gate: ten seconds of differential CDCL
 # fuzzing against brute-force enumeration (assumptions + solver reuse),
@@ -80,7 +85,7 @@ bench-sat:
 
 bench-sat-quick:
 	$(GO) test -run '^$$' -bench 'Propagate|ConflictAnalysis' -benchmem ./internal/sat/
-	$(GO) run ./cmd/aedbench -experiment satperf -scale quick -out BENCH_satperf.json
+	$(GO) run ./cmd/aedbench -experiment satperf -scale quick -out $(QUICK_OUT)/BENCH_satperf-quick.json
 
 # Telemetry-format benchmark: the AEDT binary codec against the JSONL
 # baseline (bytes/event, encode/decode throughput, steady-state decode
@@ -91,7 +96,7 @@ bench-telemetry:
 	$(GO) run ./cmd/aedbench -experiment telemetry -scale full -out BENCH_telemetry.json
 
 bench-telemetry-quick:
-	$(GO) run ./cmd/aedbench -experiment telemetry -scale quick -out BENCH_telemetry.json
+	$(GO) run ./cmd/aedbench -experiment telemetry -scale quick -out $(QUICK_OUT)/BENCH_telemetry-quick.json
 
 # Parallel-synthesis benchmark: destination scaling across worker
 # counts (LPT scheduling over per-destination instances) and the
@@ -104,7 +109,7 @@ bench-parallel:
 	$(GO) run ./cmd/aedbench -experiment parallel -scale full -out BENCH_parallel.json
 
 bench-parallel-quick:
-	$(GO) run ./cmd/aedbench -experiment parallel -scale quick -out BENCH_parallel.json
+	$(GO) run ./cmd/aedbench -experiment parallel -scale quick -out $(QUICK_OUT)/BENCH_parallel-quick.json
 
 # aedd service load benchmark: an in-process service driven over real
 # HTTP with mixed cold/warm/watch traffic, an oversubscribed burst
@@ -116,4 +121,4 @@ bench-service:
 	$(GO) run ./cmd/aedbench -experiment service -scale full -out BENCH_service.json
 
 bench-service-quick:
-	$(GO) run ./cmd/aedbench -experiment service -scale quick -out BENCH_service.json
+	$(GO) run ./cmd/aedbench -experiment service -scale quick -out $(QUICK_OUT)/BENCH_service-quick.json

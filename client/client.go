@@ -10,7 +10,8 @@
 //
 // The error taxonomy survives the round-trip: errors.Is matches the
 // aed sentinels (aed.ErrQueueFull, aed.ErrBudgetExceeded,
-// aed.ErrSessionNotFound, aed.ErrInvalidRequest, aed.ErrDraining) and
+// aed.ErrSessionNotFound, aed.ErrInvalidRequest, aed.ErrDraining,
+// aed.ErrRequestTooLarge) and
 // the context errors, and errors.As recovers *aed.UnsatError with its
 // per-destination conflict detail — exactly as a library call reports
 // them. See docs/SERVICE.md for the wire contract.

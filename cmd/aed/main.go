@@ -61,6 +61,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"github.com/aed-net/aed/internal/api"
 	"github.com/aed-net/aed/internal/config"
 	"github.com/aed-net/aed/internal/core"
 	"github.com/aed-net/aed/internal/deploy"
@@ -385,7 +386,7 @@ func watchLoop(ctx context.Context, wc watchConfig, net *config.Network,
 			fmt.Fprintf(os.Stderr, "aed: reload: %v\n", err)
 			continue
 		}
-		if topologyChanged(topo, newTopo) {
+		if !api.SameTopology(topo, newTopo) {
 			topo = newTopo
 			eng = core.NewEngine(newNet, newTopo, opts)
 		} else {
@@ -416,13 +417,6 @@ func inputStamp(wc watchConfig) string {
 	add(wc.topoFile)
 	add(wc.policyFile)
 	return s
-}
-
-// topologyChanged reports whether the reloaded topology differs from
-// the session's.
-func topologyChanged(a, b *topology.Topology) bool {
-	return fmt.Sprintf("%v|%v|%v|%v", a.Routers, a.Links(), a.Subnets, a.Role) !=
-		fmt.Sprintf("%v|%v|%v|%v", b.Routers, b.Links(), b.Subnets, b.Role)
 }
 
 func writeConfigs(dir string, printed map[string]string) error {

@@ -55,6 +55,8 @@ func TestErrorRoundTrip(t *testing.T) {
 			CodeInvalidRequest, http.StatusBadRequest, ErrInvalidRequest},
 		{"draining", fmt.Errorf("aedd: %w", ErrDraining),
 			CodeDraining, http.StatusServiceUnavailable, ErrDraining},
+		{"too_large", fmt.Errorf("%w: body exceeds 8 bytes", ErrRequestTooLarge),
+			CodeTooLarge, http.StatusRequestEntityTooLarge, ErrRequestTooLarge},
 		{"deadline", fmt.Errorf("solve: %w", context.DeadlineExceeded),
 			CodeDeadline, http.StatusGatewayTimeout, context.DeadlineExceeded},
 		{"canceled", context.Canceled, CodeCanceled, 499, context.Canceled},
@@ -141,12 +143,13 @@ func TestStatusErrFallback(t *testing.T) {
 	// A proxy that strips the JSON body still yields matchable errors
 	// via the status-code fallback.
 	for status, sentinel := range map[int]error{
-		http.StatusTooManyRequests:    ErrQueueFull,
-		http.StatusPaymentRequired:    ErrBudgetExceeded,
-		http.StatusNotFound:           ErrSessionNotFound,
-		http.StatusBadRequest:         ErrInvalidRequest,
-		http.StatusServiceUnavailable: ErrDraining,
-		http.StatusGatewayTimeout:     context.DeadlineExceeded,
+		http.StatusTooManyRequests:       ErrQueueFull,
+		http.StatusPaymentRequired:       ErrBudgetExceeded,
+		http.StatusNotFound:              ErrSessionNotFound,
+		http.StatusBadRequest:            ErrInvalidRequest,
+		http.StatusServiceUnavailable:    ErrDraining,
+		http.StatusRequestEntityTooLarge: ErrRequestTooLarge,
+		http.StatusGatewayTimeout:        context.DeadlineExceeded,
 	} {
 		if got := StatusErr(status); !errors.Is(got, sentinel) {
 			t.Errorf("StatusErr(%d) = %v, want %v", status, got, sentinel)

@@ -37,6 +37,9 @@ var (
 	// ErrDraining rejects a request because the service is shutting
 	// down: admission is closed while in-flight solves drain. HTTP 503.
 	ErrDraining = errors.New("aed: service draining")
+	// ErrRequestTooLarge rejects a request whose body exceeds the
+	// service's size cap; it was not parsed. HTTP 413.
+	ErrRequestTooLarge = errors.New("aed: request body too large")
 )
 
 // Wire error codes (WireError.Code).
@@ -46,6 +49,7 @@ const (
 	CodeSessionNotFound = "session_not_found"
 	CodeInvalidRequest  = "invalid_request"
 	CodeDraining        = "draining"
+	CodeTooLarge        = "request_too_large"
 	CodeUnsat           = "unsat"
 	CodeDeadline        = "deadline_exceeded"
 	CodeCanceled        = "canceled"
@@ -98,6 +102,8 @@ func EncodeError(err error) WireError {
 		return WireError{Code: CodeInvalidRequest, Message: err.Error()}
 	case errors.Is(err, ErrDraining):
 		return WireError{Code: CodeDraining, Message: err.Error()}
+	case errors.Is(err, ErrRequestTooLarge):
+		return WireError{Code: CodeTooLarge, Message: err.Error()}
 	case errors.Is(err, context.DeadlineExceeded):
 		return WireError{Code: CodeDeadline, Message: err.Error()}
 	case errors.Is(err, context.Canceled):
@@ -146,6 +152,8 @@ func (w WireError) Err() error {
 		return remote(w.Message, ErrInvalidRequest)
 	case CodeDraining:
 		return remote(w.Message, ErrDraining)
+	case CodeTooLarge:
+		return remote(w.Message, ErrRequestTooLarge)
 	case CodeDeadline:
 		return remote(w.Message, context.DeadlineExceeded)
 	case CodeCanceled:
@@ -195,6 +203,8 @@ func HTTPStatus(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, ErrRequestTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -219,6 +229,8 @@ func StatusErr(status int) error {
 		return ErrInvalidRequest
 	case http.StatusServiceUnavailable:
 		return ErrDraining
+	case http.StatusRequestEntityTooLarge:
+		return ErrRequestTooLarge
 	case http.StatusGatewayTimeout:
 		return context.DeadlineExceeded
 	default:

@@ -91,9 +91,6 @@ func TestBlockingWorkload(t *testing.T) {
 
 func TestFig9Quick(t *testing.T) {
 	skipIfShort(t)
-	if testing.Short() {
-		t.Skip("short mode")
-	}
 	var buf bytes.Buffer
 	res := Fig9(&buf, Quick)
 	if len(res.DC) < 3 {
@@ -117,9 +114,6 @@ func TestFig9Quick(t *testing.T) {
 
 func TestFig10Quick(t *testing.T) {
 	skipIfShort(t)
-	if testing.Short() {
-		t.Skip("short mode")
-	}
 	var buf bytes.Buffer
 	rows := Fig10(&buf, Quick)
 	byTool := map[string]Fig10Row{}
@@ -143,9 +137,6 @@ func TestFig10Quick(t *testing.T) {
 
 func TestFig14Quick(t *testing.T) {
 	skipIfShort(t)
-	if testing.Short() {
-		t.Skip("short mode")
-	}
 	var buf bytes.Buffer
 	rows := Fig14(&buf, Quick)
 	if len(rows) == 0 {
@@ -163,9 +154,6 @@ func TestFig14Quick(t *testing.T) {
 
 func TestBoolRankQuick(t *testing.T) {
 	skipIfShort(t)
-	if testing.Short() {
-		t.Skip("short mode")
-	}
 	var buf bytes.Buffer
 	rows := BoolRank(&buf, Quick)
 	if len(rows) == 0 {
@@ -180,9 +168,6 @@ func TestBoolRankQuick(t *testing.T) {
 
 func TestPruningQuick(t *testing.T) {
 	skipIfShort(t)
-	if testing.Short() {
-		t.Skip("short mode")
-	}
 	var buf bytes.Buffer
 	rows := Pruning(&buf, Quick)
 	if len(rows) == 0 {
@@ -192,9 +177,6 @@ func TestPruningQuick(t *testing.T) {
 
 func TestMaxSATStrategiesAgree(t *testing.T) {
 	skipIfShort(t)
-	if testing.Short() {
-		t.Skip("short mode")
-	}
 	var buf bytes.Buffer
 	rows := MaxSATStrategies(&buf, Quick)
 	if len(rows) != 3 {

@@ -8,7 +8,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -96,8 +95,9 @@ type Options struct {
 	// default (false) keeps instances alive so that an edit-only
 	// configuration change re-solves by flipping retractable bindings
 	// on the warm solver (tier-2 in DESIGN.md) instead of re-encoding;
-	// set it to trade that speed for the memory of the cached SMT
-	// contexts. One-shot SynthesizeContext runs ignore it.
+	// set it to trade that speed for the memory of the SMT contexts:
+	// each destination's encoder is then dropped as soon as its solve
+	// finishes. One-shot SynthesizeContext runs always set it.
 	NoLiveInstances bool
 }
 
@@ -182,8 +182,10 @@ type Result struct {
 	// (empty in normal operation; populated only if the symbolic
 	// model and the simulator disagree).
 	Violations []simulate.Violation
-	// Duration is the end-to-end synthesis time; SolveTime the summed
-	// per-instance solver time (= critical path when parallel).
+	// Duration is the end-to-end synthesis time; SolveTime the sum of
+	// the solve times of the instances solved in this call (cached ones
+	// excluded), which exceeds the wall clock when instances run in
+	// parallel.
 	Duration  time.Duration
 	SolveTime time.Duration
 	// Instances describes each per-destination problem.
@@ -254,48 +256,23 @@ type InstanceStats struct {
 
 // SynthesizeContext computes configuration updates for net on topo
 // that satisfy ps and maximally satisfy the objectives, with
-// cancellation: once ctx is
-// canceled every in-flight CDCL search stops at its next conflict and
-// the call returns ctx.Err().
+// cancellation: once ctx is canceled every in-flight CDCL search stops
+// at its next conflict and the call returns ctx.Err().
+//
+// A one-shot synthesis is the first, all-miss call of a throwaway
+// session: it runs the Engine's pipeline with live-instance retention
+// off, since nothing outlives the call. It records its telemetry under
+// the one-shot names (the synthesize span and synthesize.* metrics).
 func SynthesizeContext(ctx context.Context, net *config.Network, topo *topology.Topology, ps []policy.Policy, opts Options) (*Result, error) {
-	start := time.Now()
-	tr := opts.tracer()
-	root := tr.StartCtx(ctx, "synthesize")
-	defer root.End()
-
-	gsp := root.Child("group")
-	ps, groups, dests := groupDests(ps)
-	gsp.SetInt("policies", int64(len(ps)))
-	gsp.SetInt("destinations", int64(len(dests)))
-	gsp.End()
-
-	wd := opts.watchdog(tr)
-	res := &Result{}
-	if opts.Monolithic {
-		if err := solveMonolithic(ctx, net, topo, groups, dests, opts, res, tr, root, wd); err != nil {
-			return nil, err
-		}
-	} else if err := solveSplit(ctx, net, topo, groups, dests, opts, res, tr, root, wd); err != nil {
-		return nil, err
-	}
-	for _, is := range res.Instances {
-		res.Solver = res.Solver.Add(is.Solver)
-	}
-
-	applyAndValidate(net, topo, ps, opts, res, root)
-	res.Duration = time.Since(start)
-	root.SetBool("sat", res.unsat == nil)
-	root.SetInt("decisions", res.Solver.Decisions)
-	root.SetInt("conflicts", res.Solver.Conflicts)
-	tr.Metrics().Counter("synthesize.runs").Add(1)
-	tr.Metrics().Histogram("synthesize.duration_ms", obs.LatencyBuckets).
-		Observe(float64(res.Duration.Microseconds()) / 1000)
-	return res, nil
+	opts.NoLiveInstances = true
+	e := NewEngine(net, topo, opts)
+	e.oneShot = true
+	return e.solve(ctx, ps)
 }
 
 // groupDests canonicalizes policies (dedup + isolation subdivision) and
 // groups them per destination prefix, returning the destinations in
-// sorted order. Shared by the one-shot and session paths.
+// sorted order.
 func groupDests(ps []policy.Policy) ([]policy.Policy, map[prefix.Prefix][]policy.Policy, []prefix.Prefix) {
 	ps = policy.SubdividePolicies(policy.Dedup(ps))
 	groups := policy.GroupByDestination(ps)
@@ -336,9 +313,11 @@ func instantiateObjectives(net *config.Network, objs []objective.Objective, delt
 	return objective.InstantiateAll(objs, tree)
 }
 
+// solveMonolithic solves every destination group as one joint MaxSMT
+// instance (the Fig. 14 baseline).
 func solveMonolithic(ctx context.Context, net *config.Network, topo *topology.Topology,
 	groups map[prefix.Prefix][]policy.Policy, dests []prefix.Prefix,
-	opts Options, res *Result, tr *obs.Tracer, root *obs.Span, wd *obs.Watchdog) error {
+	opts Options, tr *obs.Tracer, root *obs.Span, wd *obs.Watchdog) (*Result, error) {
 
 	msp := root.Child("monolithic")
 	defer msp.End()
@@ -350,7 +329,7 @@ func solveMonolithic(ctx context.Context, net *config.Network, topo *topology.To
 	total := 0
 	for _, d := range dests {
 		if err := j.AddGroup(d, groups[d]); err != nil {
-			return err
+			return nil, err
 		}
 		total += len(groups[d])
 	}
@@ -368,31 +347,37 @@ func solveMonolithic(ctx context.Context, net *config.Network, topo *topology.To
 	}
 	r := j.SolveContext(ctx, opts.Strategy)
 	if r.Err != nil {
-		return r.Err
+		return nil, r.Err
 	}
-	res.SolveTime = r.Duration
-	res.Instances = append(res.Instances, InstanceStats{
-		Policies: total, NumVars: r.NumVars, NumClauses: r.NumClauses, NumDeltas: r.NumDeltas,
-		Iterations: r.Iterations, Duration: r.Duration, Sat: r.Sat,
-		Slow:            opts.markSlow(r.Duration),
-		Solver:          r.Stats,
-		PortfolioWinner: r.PortfolioWinner,
-	})
+	is := instanceStats(prefix.Prefix{}, total, r)
+	is.Slow = opts.markSlow(r.Duration)
+	res := &Result{SolveTime: r.Duration, Instances: []InstanceStats{is}, Solver: r.Stats}
 	if !r.Sat {
 		for _, d := range dests {
 			res.setUnsat(d, nil)
 		}
-		return nil
+		return res, nil
 	}
 	res.Edits = r.Edits
 	res.ObjectiveViolations = r.ViolatedWeight
-	return nil
+	return res, nil
 }
 
-// solveInstance encodes and solves one destination group: the unit of
-// work shared by the one-shot split path and the session engine. It
-// also returns the live encoder so a session can retain the instance
-// and later re-solve it in place (see resolveLive in session.go).
+// instanceStats reports one solved instance; the caller sets the flags
+// that depend on how the instance was reached (Cached, Rebound, Slow).
+func instanceStats(d prefix.Prefix, policies int, r *encode.Result) InstanceStats {
+	return InstanceStats{
+		Destination: d, Policies: policies,
+		NumVars: r.NumVars, NumClauses: r.NumClauses, NumDeltas: r.NumDeltas,
+		Iterations: r.Iterations, Duration: r.Duration, Sat: r.Sat,
+		Solver:          r.Stats,
+		PortfolioWinner: r.PortfolioWinner,
+	}
+}
+
+// solveInstance encodes and solves one destination group. It also
+// returns the live encoder so a session can retain the instance and
+// later re-solve it in place (see resolveLive in session.go).
 func solveInstance(ctx context.Context, net *config.Network, topo *topology.Topology,
 	d prefix.Prefix, group []policy.Policy, opts Options,
 	tr *obs.Tracer, root *obs.Span, wd *obs.Watchdog) (*encode.Result, *encode.Encoder, error) {
@@ -527,84 +512,6 @@ func explainDest(net *config.Network, topo *topology.Topology, d prefix.Prefix,
 		return nil
 	}
 	return conflict
-}
-
-func solveSplit(ctx context.Context, net *config.Network, topo *topology.Topology,
-	groups map[prefix.Prefix][]policy.Policy, dests []prefix.Prefix,
-	opts Options, res *Result, tr *obs.Tracer, root *obs.Span, wd *obs.Watchdog) error {
-
-	type outcome struct {
-		dest   prefix.Prefix
-		result *encode.Result
-		err    error
-	}
-	outcomes := make([]outcome, len(dests))
-
-	// One-shot runs have no solve history, so the cost estimate is the
-	// policy-group size — the main driver of per-destination CNF size.
-	est := make([]int64, len(dests))
-	for i, d := range dests {
-		est[i] = int64(len(groups[d]))
-	}
-	hard := portfolioTargets(len(dests), opts, est)
-
-	runInstances(len(dests), opts, est, func(i int) {
-		d := dests[i]
-		if err := ctx.Err(); err != nil {
-			// Canceled before this instance started: skip the encoding
-			// work entirely.
-			outcomes[i] = outcome{dest: d, err: err}
-			return
-		}
-		iopts := opts
-		if hard == nil || !hard[i] {
-			iopts.Portfolio = 0
-		}
-		r, _, err := solveInstance(ctx, net, topo, d, groups[d], iopts, tr, root, wd)
-		outcomes[i] = outcome{dest: d, result: r, err: err}
-	})
-
-	for _, o := range outcomes {
-		if o.err == nil && o.result != nil && o.result.Err != nil {
-			// An interrupted instance means the whole call was canceled;
-			// report the context's error, not a partial result.
-			return o.result.Err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	var critical time.Duration
-	for i, o := range outcomes {
-		if o.err != nil {
-			return fmt.Errorf("destination %s: %w", o.dest, o.err)
-		}
-		r := o.result
-		res.Instances = append(res.Instances, InstanceStats{
-			Destination: o.dest, Policies: len(groups[dests[i]]),
-			NumVars: r.NumVars, NumClauses: r.NumClauses, NumDeltas: r.NumDeltas,
-			Iterations: r.Iterations, Duration: r.Duration, Sat: r.Sat,
-			Slow:            opts.markSlow(r.Duration),
-			Solver:          r.Stats,
-			PortfolioWinner: r.PortfolioWinner,
-		})
-		res.SolveTime += r.Duration
-		if r.Duration > critical {
-			critical = r.Duration
-		}
-		if !r.Sat {
-			var conflict []policy.Policy
-			if opts.Explain {
-				conflict = explainDest(net, topo, o.dest, groups[o.dest], opts)
-			}
-			res.setUnsat(o.dest, conflict)
-			continue
-		}
-		res.Edits = append(res.Edits, r.Edits...)
-		res.ObjectiveViolations += r.ViolatedWeight
-	}
-	return nil
 }
 
 // MinLinesOptions enables the exact min-lines objective on opts: one

@@ -48,6 +48,9 @@ type Engine struct {
 	opts Options
 
 	cache map[prefix.Prefix]*cacheEntry
+	// oneShot marks the throwaway engine behind SynthesizeContext,
+	// which records one-shot telemetry names instead of session ones.
+	oneShot bool
 }
 
 // cacheEntry is one destination's cached solve, including — unless
@@ -66,7 +69,7 @@ type cacheEntry struct {
 // options apply to every Solve call; the zero value is the paper
 // default, as with SynthesizeContext. Monolithic mode is not
 // destination-cacheable — a monolithic Engine solves from scratch each
-// call (every instance counts as a miss).
+// call (every destination counts as a miss).
 func NewEngine(net *config.Network, topo *topology.Topology, opts Options) *Engine {
 	return &Engine{
 		net:   net,
@@ -112,22 +115,88 @@ func (s *Engine) Invalidate() {
 func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.solve(ctx, ps)
+}
 
-	if s.opts.Monolithic {
-		return SynthesizeContext(ctx, s.net, s.topo, ps, s.opts)
-	}
+// callStats counts one call's cache and tier-2 activity.
+type callStats struct {
+	hits, misses, invalidations int
+	rebinds, ineligible         int64
+}
 
+// solve is the one synthesis pipeline behind SynthesizeContext and
+// Solve: group the policies, solve them (jointly in monolithic mode,
+// per destination through the tier ladder otherwise), apply and
+// validate the merged edits, and record the call's telemetry.
+func (s *Engine) solve(ctx context.Context, ps []policy.Policy) (*Result, error) {
 	start := time.Now()
 	tr := s.opts.tracer()
-	root := tr.StartCtx(ctx, "session.solve")
+	rootName := "session.solve"
+	if s.oneShot {
+		rootName = "synthesize"
+	}
+	root := tr.StartCtx(ctx, rootName)
 	defer root.End()
-	ri, _ := obs.RequestFrom(ctx)
 
 	gsp := root.Child("group")
 	ps, groups, dests := groupDests(ps)
 	gsp.SetInt("policies", int64(len(ps)))
 	gsp.SetInt("destinations", int64(len(dests)))
 	gsp.End()
+
+	wd := s.opts.watchdog(tr)
+	var res *Result
+	var cs callStats
+	var err error
+	if s.opts.Monolithic {
+		res, err = solveMonolithic(ctx, s.net, s.topo, groups, dests, s.opts, tr, root, wd)
+		cs.misses = len(dests)
+	} else {
+		res, cs, err = s.solveDests(ctx, groups, dests, tr, root, wd)
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	applyAndValidate(s.net, s.topo, ps, s.opts, res, root)
+	res.Duration = time.Since(start)
+
+	root.SetBool("sat", res.unsat == nil)
+	root.SetInt("decisions", res.Solver.Decisions)
+	root.SetInt("conflicts", res.Solver.Conflicts)
+	m := tr.Metrics()
+	ms := float64(res.Duration.Microseconds()) / 1000
+	if s.oneShot {
+		m.Counter("synthesize.runs").Add(1)
+		m.Histogram("synthesize.duration_ms", obs.LatencyBuckets).Observe(ms)
+		return res, nil
+	}
+	root.SetInt("cache_hits", int64(cs.hits))
+	root.SetInt("cache_misses", int64(cs.misses))
+	root.SetInt("rebinds", cs.rebinds)
+	m.Counter("session.cache.hits").Add(int64(cs.hits))
+	m.Counter("session.cache.misses").Add(int64(cs.misses))
+	m.Counter("session.cache.invalidations").Add(int64(cs.invalidations))
+	m.Counter("session.rebind.resolves").Add(cs.rebinds)
+	m.Counter("session.rebind.ineligible").Add(cs.ineligible)
+	m.Histogram("session.solve_ms", obs.LatencyBuckets).Observe(ms)
+	if cs.hits > 0 {
+		m.Histogram("session.solve.warm_ms", obs.LatencyBuckets).Observe(ms)
+	} else {
+		m.Histogram("session.solve.cold_ms", obs.LatencyBuckets).Observe(ms)
+	}
+	return res, nil
+}
+
+// solveDests runs the per-destination tier ladder: fingerprint every
+// destination, reuse the clean ones, re-solve the dirty ones (rebinding
+// live instances where allowed), and merge the outcomes while updating
+// the cache.
+func (s *Engine) solveDests(ctx context.Context, groups map[prefix.Prefix][]policy.Policy, dests []prefix.Prefix,
+	tr *obs.Tracer, root *obs.Span, wd *obs.Watchdog) (*Result, callStats, error) {
+
+	var cs callStats
+	ri, _ := obs.RequestFrom(ctx)
 
 	// Fingerprint every destination unit and split clean from dirty.
 	// Cache classification is also streamed into the flight recorder so
@@ -144,7 +213,6 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 	encs := make([]*encode.Encoder, len(dests))
 	rebound := make([]bool, len(dests))
 	var dirty []int
-	hits, invalidations := 0, 0
 	for i, d := range dests {
 		fps[i] = destFingerprint(shared, s.net, d, groups[d], s.opts)
 		groupFPs[i] = groupFingerprint(d, groups[d])
@@ -153,7 +221,7 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 				results[i] = e.res
 				conflicts[i] = e.conflict
 				cached[i] = true
-				hits++
+				cs.hits++
 				rec.RecordRequest(obs.EvCacheHit, d.String(), ri.ID, int64(fps[i]), 0)
 				continue
 			}
@@ -166,29 +234,24 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 				len(s.opts.Objectives) == 0 {
 				liveable[i] = e
 			}
-			invalidations++
+			cs.invalidations++
 			rec.RecordRequest(obs.EvCacheInvalidate, d.String(), ri.ID, int64(fps[i]), int64(e.fp))
 		}
 		rec.RecordRequest(obs.EvCacheMiss, d.String(), ri.ID, int64(fps[i]), 0)
 		dirty = append(dirty, i)
 	}
-	fsp.SetInt("hits", int64(hits))
-	fsp.SetInt("misses", int64(len(dirty)))
+	cs.misses = len(dirty)
+	fsp.SetInt("hits", int64(cs.hits))
+	fsp.SetInt("misses", int64(cs.misses))
 	fsp.End()
-
-	// Re-solve only the dirty destinations: by rebinding the live
-	// instance when the configuration delta allows it, from scratch
-	// otherwise.
-	wd := s.opts.watchdog(tr)
-	errs := make([]error, len(dests))
-	var rebinds, ineligible int64
 
 	// Cost estimates for longest-expected-first dispatch and portfolio
 	// routing: the destination's last observed solve time when the
 	// session has one, its last CNF size as a proxy otherwise, and the
-	// policy-group size on a fully cold start. Mixed units only occur on
-	// the first warm call after new destinations appear, where any
-	// history-first ordering is still better than FIFO.
+	// policy-group size — the main driver of per-destination CNF size —
+	// on a fully cold start. Mixed units only occur on the first warm
+	// call after new destinations appear, where any history-first
+	// ordering is still better than FIFO.
 	est := make([]int64, len(dirty))
 	for k, i := range dirty {
 		if e, ok := s.cache[dests[i]]; ok && e.res != nil {
@@ -205,10 +268,19 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 	}
 	hard := portfolioTargets(len(dirty), s.opts, est)
 
+	// Re-solve only the dirty destinations: by rebinding the live
+	// instance when the configuration delta allows it, from scratch
+	// otherwise. Without retention a fresh encoder is dropped as soon
+	// as its solve returns, so at most Workers encoders are live at
+	// once.
+	errs := make([]error, len(dests))
+	var rebinds, ineligible atomic.Int64
 	runInstances(len(dirty), s.opts, est, func(k int) {
 		i := dirty[k]
 		d := dests[i]
 		if err := ctx.Err(); err != nil {
+			// Canceled before this instance started: skip the encoding
+			// work entirely.
 			errs[i] = err
 			return
 		}
@@ -219,25 +291,32 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 		if ent := liveable[i]; ent != nil {
 			if r, ok := resolveLive(ctx, ent.enc, s.net, d, iopts, tr, root, wd); ok {
 				results[i], encs[i], rebound[i] = r, ent.enc, true
-				atomic.AddInt64(&rebinds, 1)
+				rebinds.Add(1)
 				return
 			}
-			atomic.AddInt64(&ineligible, 1)
+			ineligible.Add(1)
 		}
-		results[i], encs[i], errs[i] = solveInstance(ctx, s.net, s.topo, d, groups[d], iopts, tr, root, wd)
+		r, enc, err := solveInstance(ctx, s.net, s.topo, d, groups[d], iopts, tr, root, wd)
+		results[i], errs[i] = r, err
+		if !s.opts.NoLiveInstances {
+			encs[i] = enc
+		}
 	})
+	cs.rebinds, cs.ineligible = rebinds.Load(), ineligible.Load()
 
 	for _, i := range dirty {
 		if errs[i] == nil && results[i] != nil && results[i].Err != nil {
-			return nil, results[i].Err
+			// An interrupted instance means the whole call was canceled;
+			// report the context's error, not a partial result.
+			return nil, cs, results[i].Err
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, cs, err
 	}
 	for _, i := range dirty {
 		if errs[i] != nil {
-			return nil, fmt.Errorf("destination %s: %w", dests[i], errs[i])
+			return nil, cs, fmt.Errorf("destination %s: %w", dests[i], errs[i])
 		}
 	}
 
@@ -249,32 +328,21 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 	res := &Result{}
 	for i, d := range dests {
 		r := results[i]
+		is := instanceStats(d, len(groups[d]), r)
+		is.Cached, is.Rebound = cached[i], rebound[i]
 		if !cached[i] {
 			if !r.Sat && s.opts.Explain {
 				conflicts[i] = explainDest(s.net, s.topo, d, groups[d], s.opts)
 			}
-			enc := encs[i]
-			if s.opts.NoLiveInstances {
-				enc = nil
-			}
 			s.cache[d] = &cacheEntry{
 				fp: fps[i], shared: shared, groupFP: groupFPs[i],
-				res: r, conflict: conflicts[i], enc: enc,
+				res: r, conflict: conflicts[i], enc: encs[i],
 			}
+			is.Slow = s.opts.markSlow(r.Duration)
 			res.SolveTime += r.Duration
-		}
-		res.Instances = append(res.Instances, InstanceStats{
-			Destination: d, Policies: len(groups[d]),
-			NumVars: r.NumVars, NumClauses: r.NumClauses, NumDeltas: r.NumDeltas,
-			Iterations: r.Iterations, Duration: r.Duration, Sat: r.Sat,
-			Cached: cached[i], Rebound: rebound[i],
-			Slow:            !cached[i] && s.opts.markSlow(r.Duration),
-			Solver:          r.Stats,
-			PortfolioWinner: r.PortfolioWinner,
-		})
-		if !cached[i] {
 			res.Solver = res.Solver.Add(r.Stats)
 		}
+		res.Instances = append(res.Instances, is)
 		if !r.Sat {
 			res.setUnsat(d, conflicts[i])
 			continue
@@ -282,28 +350,7 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 		res.Edits = append(res.Edits, r.Edits...)
 		res.ObjectiveViolations += r.ViolatedWeight
 	}
-
-	applyAndValidate(s.net, s.topo, ps, s.opts, res, root)
-	res.Duration = time.Since(start)
-
-	root.SetBool("sat", res.unsat == nil)
-	root.SetInt("cache_hits", int64(hits))
-	root.SetInt("cache_misses", int64(len(dirty)))
-	root.SetInt("rebinds", rebinds)
-	m := tr.Metrics()
-	m.Counter("session.cache.hits").Add(int64(hits))
-	m.Counter("session.cache.misses").Add(int64(len(dirty)))
-	m.Counter("session.cache.invalidations").Add(int64(invalidations))
-	m.Counter("session.rebind.resolves").Add(rebinds)
-	m.Counter("session.rebind.ineligible").Add(ineligible)
-	ms := float64(res.Duration.Microseconds()) / 1000
-	m.Histogram("session.solve_ms", obs.LatencyBuckets).Observe(ms)
-	if hits > 0 {
-		m.Histogram("session.solve.warm_ms", obs.LatencyBuckets).Observe(ms)
-	} else {
-		m.Histogram("session.solve.cold_ms", obs.LatencyBuckets).Observe(ms)
-	}
-	return res, nil
+	return res, cs, nil
 }
 
 // resolveLive attempts a tier-2 re-solve: retarget the destination's

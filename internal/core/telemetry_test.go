@@ -141,3 +141,79 @@ func TestDefaultTracerFallback(t *testing.T) {
 		t.Error("synthesize.runs counter not recorded")
 	}
 }
+
+// checkSpanNesting asserts the span tree's structural invariants on a
+// finished trace: every span's parent is in the trace, every child lies
+// inside its parent's interval, and every SAT call nests under the
+// MaxSAT search that made it. It returns the span count per name.
+func checkSpanNesting(t *testing.T, tr *obs.Tracer) map[string]int {
+	t.Helper()
+	spans := tr.Spans()
+	byID := make(map[uint64]obs.SpanRecord, len(spans))
+	for _, sp := range spans {
+		byID[sp.ID] = sp
+	}
+	counts := make(map[string]int)
+	for _, sp := range spans {
+		counts[sp.Name]++
+		if sp.Parent == 0 {
+			continue
+		}
+		p, ok := byID[sp.Parent]
+		if !ok {
+			t.Errorf("span %s: parent %d not in the trace", sp.Name, sp.Parent)
+			continue
+		}
+		end, pend := sp.Start.Add(sp.Duration), p.Start.Add(p.Duration)
+		if sp.Start.Before(p.Start) || end.After(pend) {
+			t.Errorf("span %s [%v, %v] lies outside its parent %s [%v, %v]",
+				sp.Name, sp.Start, end, p.Name, p.Start, pend)
+		}
+		if sp.Name == "sat.solve" && p.Name != "maxsat" {
+			t.Errorf("sat.solve parented to %s, want maxsat", p.Name)
+		}
+	}
+	if counts["sat.solve"] == 0 {
+		t.Error("trace has no sat.solve spans")
+	}
+	return counts
+}
+
+// TestSpanNesting checks the nesting invariants on real traced runs:
+// a parallel one-shot synthesis, a monolithic one, and a session whose
+// second call re-solves a destination on its live instance.
+func TestSpanNesting(t *testing.T) {
+	ps, _ := policy.Parse(`block 10.0.0.0/24 -> 10.1.0.0/24
+block 10.2.0.0/24 -> 10.0.0.0/24
+reach 10.1.0.0/24 -> 10.2.0.0/24
+`)
+	for _, mono := range []bool{false, true} {
+		net, topo := leafSpineNet(t, 3, 2)
+		tr := obs.NewTracer()
+		opts := DefaultOptions()
+		opts.Objectives = minDevices(t)
+		opts.Monolithic = mono
+		opts.Tracer = tr
+		if _, err := SynthesizeContext(context.Background(), net, topo, ps, opts); err != nil {
+			t.Fatal(err)
+		}
+		counts := checkSpanNesting(t, tr)
+		if counts["synthesize"] != 1 || counts["maxsat"] == 0 {
+			t.Errorf("monolithic=%v: span counts %v", mono, counts)
+		}
+	}
+
+	eng, rps, tr := rebindFixture(t, DefaultOptions())
+	ctx := context.Background()
+	if _, err := eng.Solve(ctx, rps); err != nil {
+		t.Fatal(err)
+	}
+	eng.SetNetwork(editLocalPref(eng, 120))
+	if _, err := eng.Solve(ctx, rps); err != nil {
+		t.Fatal(err)
+	}
+	if resolves, _ := rebindCounters(tr); resolves != 1 {
+		t.Fatalf("rebind resolves = %d, want 1", resolves)
+	}
+	checkSpanNesting(t, tr)
+}

@@ -69,7 +69,11 @@ func solveInstrumented(ctx context.Context, sctx *smt.Context, parent *obs.Span,
 	sctx.SetInterrupt(ctx)
 	sp := parent.Child("solve")
 	ms := sp.Child("maxsat")
+	// The SAT calls of the search nest under maxsat, not under the
+	// instance span Observe installed.
+	outer := sctx.SetSpan(ms)
 	res := sctx.Maximize(strategy)
+	sctx.SetSpan(outer)
 	ms.SetInt("iterations", int64(res.Iterations))
 	ms.SetInt("violated_weight", int64(res.ViolatedWeight))
 	ms.End()

@@ -22,7 +22,7 @@ import (
 // Tracer collects finished spans and owns the metrics registry for one
 // synthesis run (or one CLI/bench process). A nil *Tracer is a valid
 // no-op tracer. Tracer is safe for concurrent use: the parallel
-// per-destination workers in core.solveSplit record spans and metrics
+// per-destination workers of the core engine record spans and metrics
 // into one shared tracer.
 type Tracer struct {
 	mu      sync.Mutex

@@ -204,6 +204,25 @@ func TestWriteSummary(t *testing.T) {
 	}
 }
 
+// TestWriteSummaryOpenParent checks that a summary written while the
+// root span is still open shows its finished children as roots instead
+// of dropping them, as Analyze does for a trace with a missing parent.
+func TestWriteSummaryOpenParent(t *testing.T) {
+	tr := NewTracer()
+	root := tr.Start("synthesize")
+	root.Child("validate").End()
+	var buf bytes.Buffer
+	WriteSummary(&buf, tr)
+	root.End()
+	out := buf.String()
+	if !strings.Contains(out, "\n  validate ") {
+		t.Errorf("finished child of an open root missing from the summary:\n%s", out)
+	}
+	if strings.Contains(out, "synthesize") {
+		t.Errorf("open root must not appear in the summary:\n%s", out)
+	}
+}
+
 // TestNilTracerZeroAlloc is the disabled-telemetry fast-path
 // guarantee: threading a nil tracer through the full span/metric API
 // must not allocate.

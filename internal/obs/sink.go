@@ -157,27 +157,26 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 }
 
 // WriteSummary renders the span tree and the metrics registry as a
-// human-readable report.
+// human-readable report. The tree is the one Analyze builds, so a span
+// whose parent has not finished yet (a summary written while the root
+// is still open) is shown as a root rather than dropped.
 func WriteSummary(w io.Writer, t *Tracer) {
 	spans := t.Spans()
-	children := make(map[uint64][]SpanRecord)
-	for _, sp := range spans {
-		children[sp.Parent] = append(children[sp.Parent], sp)
-	}
-	for _, kids := range children {
-		sort.Slice(kids, func(i, j int) bool { return kids[i].Start.Before(kids[j].Start) })
-	}
 	if len(spans) > 0 {
+		events := make([]Event, len(spans))
+		for i, sp := range spans {
+			events[i] = spanEvent(sp, t.Epoch())
+		}
 		fmt.Fprintln(w, "spans:")
-		var walk func(parent uint64, depth int)
-		walk = func(parent uint64, depth int) {
-			for _, sp := range children[parent] {
+		var walk func(ns []*SpanNode, depth int)
+		walk = func(ns []*SpanNode, depth int) {
+			for _, n := range ns {
 				fmt.Fprintf(w, "  %s%-*s %10v%s\n", strings.Repeat("  ", depth),
-					32-2*depth, sp.Name, sp.Duration.Round(1000), attrString(sp.Attrs))
-				walk(sp.ID, depth+1)
+					32-2*depth, n.Name, time.Duration(n.DurUS)*time.Microsecond, attrString(n.Attrs))
+				walk(n.Children, depth+1)
 			}
 		}
-		walk(0, 0)
+		walk(Analyze(events).Roots, 0)
 	}
 	snap := t.Metrics().Snapshot()
 	if len(snap.Counters) > 0 {

@@ -16,7 +16,9 @@
 //     its next conflict via the context plumbing;
 //   - Shutdown closes admission (api.ErrDraining, HTTP 503) and drains
 //     every admitted solve before returning — no in-flight work is
-//     dropped.
+//     dropped;
+//   - a request body larger than maxRequestBytes is rejected unparsed
+//     with api.ErrRequestTooLarge (HTTP 413).
 //
 // The obs debug surface (/metrics, /spans, /recorder, /debug/pprof/)
 // is mounted natively on the service handler, so per-tenant counters
@@ -26,6 +28,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -40,6 +43,11 @@ import (
 	"github.com/aed-net/aed/internal/obs"
 	"github.com/aed-net/aed/internal/topology"
 )
+
+// maxRequestBytes caps a solve request's body. It is far above the
+// textual configs of the largest networks the benchmarks generate, and
+// it bounds the memory one client can make the decoder allocate.
+const maxRequestBytes = 16 << 20
 
 // Config sizes the service. Zero values select the documented
 // defaults.
@@ -462,7 +470,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, fmt.Errorf("%w: body exceeds %d bytes", api.ErrRequestTooLarge, maxRequestBytes))
+			return
+		}
 		writeError(w, fmt.Errorf("%w: body: %v", api.ErrInvalidRequest, err))
 		return
 	}

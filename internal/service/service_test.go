@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -355,6 +357,41 @@ func TestInvalidRequest(t *testing.T) {
 	if !errors.Is(err, api.ErrInvalidRequest) {
 		t.Errorf("err = %v, want ErrInvalidRequest", err)
 	}
+}
+
+// TestRequestTooLarge checks the body cap: a body over maxRequestBytes
+// is rejected with a typed 413 before it is decoded, and the client
+// reconstructs ErrRequestTooLarge from the wire error.
+func TestRequestTooLarge(t *testing.T) {
+	_, cl := start(t, Config{})
+	// The body is streamed, so the client never holds it in memory.
+	body := io.MultiReader(strings.NewReader(`{"policies":"`),
+		io.LimitReader(zeros{}, maxRequestBytes), strings.NewReader(`"}`))
+	res, err := http.Post(cl.Base+api.PathSolve, "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var w api.WireError
+	if err := json.NewDecoder(res.Body).Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	if res.StatusCode != http.StatusRequestEntityTooLarge || w.Code != api.CodeTooLarge {
+		t.Errorf("status = %d code = %q, want 413 %q", res.StatusCode, w.Code, api.CodeTooLarge)
+	}
+	if err := w.Err(); !errors.Is(err, api.ErrRequestTooLarge) || api.HTTPStatus(err) != http.StatusRequestEntityTooLarge {
+		t.Errorf("wire error %v does not round-trip to ErrRequestTooLarge", err)
+	}
+}
+
+// zeros is an endless stream of '0' bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
 }
 
 // TestGracefulShutdownDrains pins the zero-drop guarantee: every

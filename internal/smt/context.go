@@ -356,6 +356,15 @@ func (c *Context) PortfolioWorkers() int { return c.portfolio.Workers }
 // per instance.
 func (c *Context) PortfolioWinner() int { return c.portfolioWinner }
 
+// SetSpan makes sp the parent of the sat.solve spans of later SAT calls
+// and returns the previous parent, so a caller can nest one search's
+// calls under its own span and then restore the one Observe installed.
+func (c *Context) SetSpan(sp *obs.Span) *obs.Span {
+	prev := c.span
+	c.span = sp
+	return prev
+}
+
 // solveTimed is the instrumented path for every SAT Solve call made by
 // the MaxSAT searches and satisfiability checks: it injects the
 // retractable-assertion selector assumptions, records per-call latency
@@ -377,8 +386,8 @@ func (c *Context) solveTimed(assumptions ...sat.Lit) sat.Status {
 		}
 	} else {
 		start := time.Now()
-		// One span per SAT call, parented under the instance's
-		// destination span: the sat-layer leaf of the request trace, so
+		// One span per SAT call, parented under the current search's
+		// span (see SetSpan): the sat-layer leaf of the request trace, so
 		// aedtrace -request resolves a slow request down to the
 		// individual CDCL searches (and their portfolio races) it paid
 		// for.

@@ -64,6 +64,9 @@ var (
 	// ErrDraining means the service is shutting down and no longer
 	// admits work (HTTP 503).
 	ErrDraining = api.ErrDraining
+	// ErrRequestTooLarge means the request body exceeded the service's
+	// size cap (HTTP 413).
+	ErrRequestTooLarge = api.ErrRequestTooLarge
 )
 
 // Do synthesizes the request in process: parse every textual input,
