@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	aedd [-addr :7070] [-workers N] [-queue N] [-portfolio N]
+//	aedd [-addr :7070] [-workers N] [-queue N]
 //	     [-default-timeout 60s] [-max-timeout 10m]
 //	     [-tenant-budget 0] [-budget-window 1m]
 //	     [-max-sessions 64]
@@ -22,9 +22,9 @@
 //	GET    /metrics /spans /recorder /debug/pprof/   obs debug surface
 //
 // -access-log FILE appends one JSON line per request (request ID,
-// tenant, verdict, queue wait, solve time, cache tiers hit, portfolio
-// winner); "-" logs to stderr. Every request carries an ID — caller-set
-// via the X-AED-Request-Id header or request_id field, server-assigned
+// tenant, verdict, queue wait, solve time, cache tiers hit); "-" logs
+// to stderr. Every request carries an ID — caller-set via the
+// X-AED-Request-Id header or request_id field, server-assigned
 // otherwise — that the access log, spans, incidents, and exemplars all
 // share; filter any telemetry stream to one request with
 // `aedtrace -request <id>`.
@@ -59,7 +59,6 @@ func main() {
 	var (
 		addr           = flag.String("addr", ":7070", "listen address for the service API")
 		workers        = flag.Int("workers", 0, "solver pool size (0 = GOMAXPROCS)")
-		portfolio      = flag.Int("portfolio", 0, "default CDCL portfolio size for requests that don't set options.portfolio (0/1 = off)")
 		queueDepth     = flag.Int("queue", 0, "bounded request queue depth (0 = 2x workers)")
 		defaultTimeout = flag.Duration("default-timeout", 0, "deadline for requests without timeout_ms (0 = 60s)")
 		maxTimeout     = flag.Duration("max-timeout", 0, "clamp on request deadlines (0 = 10m)")
@@ -99,7 +98,6 @@ func main() {
 		TenantBudget:   *tenantBudget,
 		BudgetWindow:   *budgetWindow,
 		MaxSessions:    *maxSessions,
-		Portfolio:      *portfolio,
 		Tracer:         tracer,
 		AccessLog:      accessW,
 	})

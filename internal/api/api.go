@@ -123,10 +123,6 @@ type SolveOptions struct {
 	// Workers bounds solver goroutines within this solve (0 = the
 	// server's per-request default, GOMAXPROCS for library calls).
 	Workers int `json:"workers,omitempty"`
-	// Portfolio, when > 1, races that many configured CDCL solvers on
-	// the destination instance predicted hardest, sharing glue clauses
-	// between them (core.Options.Portfolio). 0 or 1 disables racing.
-	Portfolio int `json:"portfolio,omitempty"`
 	// Strategy selects the MaxSAT search: "" or "linear"
 	// (linear descent, the paper's choice), "binary", or "core".
 	Strategy string `json:"strategy,omitempty"`
@@ -176,7 +172,6 @@ func (r *Request) Materialize() (*Problem, error) {
 	opts.SkipValidation = r.Options.SkipValidation
 	opts.NoLiveInstances = r.Options.NoLiveInstances
 	opts.Workers = r.Options.Workers
-	opts.Portfolio = r.Options.Portfolio
 	switch r.Options.Strategy {
 	case "", "linear":
 		opts.Strategy = smt.LinearDescent
@@ -258,10 +253,6 @@ type Instance struct {
 	Cached      bool    `json:"cached,omitempty"`
 	Rebound     bool    `json:"rebound,omitempty"`
 	Slow        bool    `json:"slow,omitempty"`
-	// PortfolioWinner is the portfolio configuration index that won the
-	// instance's SAT race; nil when no race completed. A pointer because
-	// index 0 is a valid winner.
-	PortfolioWinner *int `json:"portfolio_winner,omitempty"`
 }
 
 // Solver is the wire form of the network-wide sat.Stats totals.
@@ -324,32 +315,14 @@ func FromResult(res *core.Result) *Response {
 		out.Violations = append(out.Violations, v.String())
 	}
 	for _, in := range res.Instances {
-		wi := Instance{
+		out.Instances = append(out.Instances, Instance{
 			Destination: in.Destination.String(), Sat: in.Sat,
 			Policies: in.Policies, Iterations: in.Iterations,
 			DurationMS: float64(in.Duration.Microseconds()) / 1000,
 			Cached:     in.Cached, Rebound: in.Rebound, Slow: in.Slow,
-		}
-		if in.PortfolioWinner >= 0 {
-			w := in.PortfolioWinner
-			wi.PortfolioWinner = &w
-		}
-		out.Instances = append(out.Instances, wi)
+		})
 	}
 	return out
-}
-
-// PortfolioWinner returns the portfolio configuration index that won a
-// race in this response, or -1 when no instance raced to a winner. With
-// portfolio routing only the predicted-hardest instance races, so at
-// most one instance carries a winner per call.
-func (r *Response) PortfolioWinner() int {
-	for _, in := range r.Instances {
-		if in.PortfolioWinner != nil {
-			return *in.PortfolioWinner
-		}
-	}
-	return -1
 }
 
 // FormatTopology renders a topology in the line format Request.Topology

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -209,26 +210,63 @@ func TestMaterializeInvalid(t *testing.T) {
 }
 
 // TestMaterializeParallelOptions pins the wire-to-core mapping of the
-// parallelism knobs, Portfolio included: what a remote caller sets in
-// options must land verbatim in core.Options.
+// parallelism knobs: what a remote caller sets in options must land
+// verbatim in core.Options.
 func TestMaterializeParallelOptions(t *testing.T) {
 	req := validRequest()
 	req.Options.Sequential = true
 	req.Options.Workers = 3
-	req.Options.Portfolio = 4
 	prob, err := req.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !prob.Opts.Sequential || prob.Opts.Workers != 3 || prob.Opts.Portfolio != 4 {
-		t.Fatalf("options not mapped: sequential=%v workers=%d portfolio=%d",
-			prob.Opts.Sequential, prob.Opts.Workers, prob.Opts.Portfolio)
+	if !prob.Opts.Sequential || prob.Opts.Workers != 3 {
+		t.Fatalf("options not mapped: sequential=%v workers=%d",
+			prob.Opts.Sequential, prob.Opts.Workers)
 	}
-	// A portfolio change must also rotate the session options key, or a
-	// live session would keep solving with the stale setting.
+	// A parallelism change must also rotate the session options key, or
+	// a live session would keep solving with the stale setting.
 	other := validRequest()
 	if req.OptionsKey() == other.OptionsKey() {
-		t.Fatal("OptionsKey ignores portfolio/workers/sequential")
+		t.Fatal("OptionsKey ignores workers/sequential")
+	}
+}
+
+// TestDecodeIgnoresRemovedOption pins wire compatibility for clients
+// built against an older API: a request that still carries an options
+// field the server no longer knows must decode (the decoder is lenient,
+// as in the service's handler), materialize, and behave exactly like
+// the same request without it, session options key included.
+func TestDecodeIgnoresRemovedOption(t *testing.T) {
+	base, err := json.Marshal(validRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(base, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["options"] = json.RawMessage(`{"portfolio":4,"workers":2}`)
+	body, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy Request
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&legacy); err != nil {
+		t.Fatalf("legacy body rejected: %v", err)
+	}
+	prob, err := legacy.Materialize()
+	if err != nil {
+		t.Fatalf("legacy request does not materialize: %v", err)
+	}
+	if prob.Opts.Workers != 2 {
+		t.Fatalf("known option lost next to the removed one: workers=%d", prob.Opts.Workers)
+	}
+	want := validRequest()
+	want.Options.Workers = 2
+	if legacy.OptionsKey() != want.OptionsKey() {
+		t.Fatalf("removed option changes the session key: %q vs %q",
+			legacy.OptionsKey(), want.OptionsKey())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"runtime"
 	"time"
@@ -13,155 +12,51 @@ import (
 	"github.com/aed-net/aed/internal/config"
 	"github.com/aed-net/aed/internal/configgen"
 	"github.com/aed-net/aed/internal/core"
-	"github.com/aed-net/aed/internal/obs"
 	"github.com/aed-net/aed/internal/policy"
-	"github.com/aed-net/aed/internal/sat"
-	"github.com/aed-net/aed/internal/smt"
 	"github.com/aed-net/aed/internal/topology"
 )
 
-// ParallelScalingRow is one measured worker count of the
-// destination-scaling half of the parallel experiment.
+// ParallelScalingRow is one measured worker count of the parallel
+// experiment.
 type ParallelScalingRow struct {
 	Workers             int     `json:"workers"`
 	ColdMS              float64 `json:"cold_ms"`
 	SpeedupVsSequential float64 `json:"speedup_vs_sequential"`
 }
 
-// ParallelPortfolioRow is one measured portfolio configuration on the
-// hardest probe instance. k1 is the single-worker baseline (no race);
-// the nosharing row is the clause-sharing ablation.
-type ParallelPortfolioRow struct {
-	Label          string  `json:"label"`
-	Workers        int     `json:"workers"`
-	Sharing        bool    `json:"sharing"`
-	WallMS         float64 `json:"wall_ms"`
-	Conflicts      int64   `json:"conflicts"`
-	SharedExported int64   `json:"shared_exported"`
-	SharedImported int64   `json:"shared_imported"`
-	SharedDropped  int64   `json:"shared_dropped"`
-	SpeedupVsOne   float64 `json:"speedup_vs_one"`
-}
-
 // ParallelResult is the parallel-synthesis artifact
 // (BENCH_parallel.json): destination scaling across worker counts on
-// the leaf-spine workload, and the CDCL portfolio race on two probe
-// instances drawn from a family of phase-transition random 3-SAT
-// formulas. GOMAXPROCS is recorded because both halves are bounded by
-// real cores: destination scaling tracks min(workers, cores), and on
-// one core a portfolio win can only come from a diversified
-// configuration needing fewer conflicts, not from extra parallelism
-// (see docs/PERFORMANCE.md).
-//
-// The probe family is scanned with every portfolio member
-// configuration, which yields the virtual-best-solver (VBS) picture
-// standard in the portfolio-SAT literature. Two instances are then
-// raced for real:
-//
-//   - the hardest instance — the seed maximizing the default
-//     configuration's conflicts. Runtimes there tend to be uniformly
-//     hard across configurations, so a single core has nothing to win
-//     by racing; this row is where the sharing ablation shows that
-//     glue exchange is what keeps oversubscribed racing affordable.
-//   - the tail instance — the seed maximizing regret (default time /
-//     VBS time). This is the heavy-tail pathology the portfolio
-//     exists to insure against, and where the race wins outright even
-//     on one core: some diversified member escapes the default's tail.
+// the leaf-spine workload. Speedups are bounded by real cores, so the
+// artifact records GOMAXPROCS next to the Go version and commit that
+// produced it (see docs/PERFORMANCE.md).
 type ParallelResult struct {
-	GOMAXPROCS   int `json:"gomaxprocs"`
-	Leaves       int `json:"leaves"`
-	Spines       int `json:"spines"`
-	Destinations int `json:"destinations"`
+	GOMAXPROCS   int    `json:"gomaxprocs"`
+	GoVersion    string `json:"go_version"`
+	Commit       string `json:"commit"`
+	Leaves       int    `json:"leaves"`
+	Spines       int    `json:"spines"`
+	Destinations int    `json:"destinations"`
 
 	SequentialMS float64              `json:"sequential_ms"`
 	Scaling      []ParallelScalingRow `json:"scaling"`
-
-	ProbeVars    int   `json:"probe_vars"`
-	ProbeClauses int   `json:"probe_clauses"`
-	ProbeSeeds   int64 `json:"probe_seeds"`
-	// MaxRegret is the family's worst default-vs-VBS ratio — how badly
-	// the single shipped configuration can lose to the best portfolio
-	// member on the same instance.
-	MaxRegret float64 `json:"max_regret"`
-
-	HardestSeed      int64                  `json:"hardest_seed"`
-	HardestConflicts int64                  `json:"hardest_conflicts"`
-	Hardest          []ParallelPortfolioRow `json:"hardest"`
-
-	TailSeed   int64                  `json:"tail_seed"`
-	TailRegret float64                `json:"tail_regret"`
-	Tail       []ParallelPortfolioRow `json:"tail"`
-
-	// PortfolioSpeedup is the best sharing-enabled race vs the
-	// single-worker baseline on the tail instance — the headline
-	// portfolio number.
-	PortfolioSpeedup float64 `json:"portfolio_speedup"`
-	// SharingSpeedup is the sharing-on vs sharing-off ratio at the
-	// largest raced portfolio on the hardest instance — what glue
-	// exchange is worth when every configuration struggles.
-	SharingSpeedup float64 `json:"sharing_speedup"`
-	// PortfolioRaces / CancelLatencySamples pin the telemetry contract:
-	// every race must record a winner and one cancel-latency sample.
-	PortfolioRaces       int64 `json:"portfolio_races"`
-	CancelLatencySamples int64 `json:"cancel_latency_samples"`
 }
 
-// probe3SAT asserts a pseudo-random 3-SAT instance near the
-// satisfiability phase transition (clause/variable ratio ~4.26, where
-// random instances are empirically hardest) into a fresh context.
-// Deterministic in seed, so every measured configuration sees the
-// identical instance.
-func probe3SAT(seed int64, vars, clauses int) *smt.Context {
-	rng := rand.New(rand.NewSource(seed))
-	c := smt.NewContext()
-	xs := make([]*smt.Formula, vars)
-	for i := range xs {
-		xs[i] = c.BoolVar("p")
-	}
-	for i := 0; i < clauses; i++ {
-		var lits [3]*smt.Formula
-		a := rng.Intn(vars)
-		b := rng.Intn(vars)
-		for b == a {
-			b = rng.Intn(vars)
-		}
-		d := rng.Intn(vars)
-		for d == a || d == b {
-			d = rng.Intn(vars)
-		}
-		for j, v := range [3]int{a, b, d} {
-			if rng.Intn(2) == 0 {
-				lits[j] = xs[v]
-			} else {
-				lits[j] = smt.Not(xs[v])
-			}
-		}
-		c.Assert(smt.Or(lits[0], lits[1], lits[2]))
-	}
-	return c
-}
-
-// Parallel measures the two parallel subsystems. Part one re-solves
-// the satperf leaf-spine workload cold at increasing destination
-// worker counts (validation skipped, best of three). Part two races
-// the configured-CDCL portfolio on the hardest member of a family of
-// phase-transition 3-SAT probes — hardest as measured by the default
-// configuration's conflict count, which is exactly the case the
-// portfolio exists for — with the clause-sharing ablation alongside.
+// Parallel re-solves the satperf leaf-spine workload cold at
+// increasing destination worker counts (LPT scheduling over the
+// per-destination instances; validation skipped, best of three) against
+// the sequential baseline.
 func Parallel(w io.Writer, scale Scale) ParallelResult {
 	leaves, spines := 6, 2
-	probeVars, probeSeeds := 140, int64(8)
 	if scale == Full {
 		leaves, spines = 12, 3
-		probeVars, probeSeeds = 200, 16
 	}
 	res := ParallelResult{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Commit:     buildCommit(),
 		Leaves:     leaves, Spines: spines,
-		ProbeVars: probeVars,
 	}
 
-	// --- Part one: destination scaling ---
 	topo := topology.LeafSpine(leaves, spines, 1)
 	net := configgen.Generate(topo, configgen.Options{Protocol: config.OSPF, WithRoleFilters: true})
 	var text string
@@ -206,118 +101,13 @@ func Parallel(w io.Writer, scale Scale) ParallelResult {
 		res.Scaling = append(res.Scaling, row)
 	}
 
-	fmt.Fprintf(w, "destination scaling (%dx%d leaf-spine, %d destinations, GOMAXPROCS=%d)\n",
-		leaves, spines, res.Destinations, res.GOMAXPROCS)
+	fmt.Fprintf(w, "destination scaling (%dx%d leaf-spine, %d destinations, GOMAXPROCS=%d, %s, commit %s)\n",
+		leaves, spines, res.Destinations, res.GOMAXPROCS, res.GoVersion, res.Commit)
 	fmt.Fprintf(w, "%-12s %10s %8s\n", "workers", "cold(ms)", "speedup")
 	fmt.Fprintf(w, "%-12s %10.1f %8s\n", "sequential", res.SequentialMS, "1.00x")
 	for _, row := range res.Scaling {
 		fmt.Fprintf(w, "%-12d %10.1f %7.2fx\n", row.Workers, row.ColdMS, row.SpeedupVsSequential)
 	}
-
-	// --- Part two: portfolio races on the probe family ---
-	// Scan every seed with every portfolio member solo to locate the
-	// hardest instance (max default-config conflicts) and the tail
-	// instance (max regret: default time / best member time).
-	res.ProbeClauses = int(4.26 * float64(probeVars))
-	res.ProbeSeeds = probeSeeds
-	cfgs := sat.DefaultPortfolioConfigs(4)
-	for seed := int64(1); seed <= probeSeeds; seed++ {
-		var defMS, bestMS float64
-		var defConflicts int64
-		for ci, cfg := range cfgs {
-			c := probe3SAT(seed, probeVars, res.ProbeClauses)
-			c.SetSolverConfig(cfg)
-			start := time.Now()
-			c.Solve()
-			ms := float64(time.Since(start).Microseconds()) / 1000
-			if ci == 0 {
-				defMS, defConflicts = ms, c.Stats().Conflicts
-			}
-			if ci == 0 || ms < bestMS {
-				bestMS = ms
-			}
-		}
-		if defConflicts > res.HardestConflicts {
-			res.HardestConflicts, res.HardestSeed = defConflicts, seed
-		}
-		if bestMS > 0 {
-			if regret := defMS / bestMS; regret > res.TailRegret {
-				res.TailRegret, res.TailSeed = regret, seed
-			}
-		}
-	}
-	res.MaxRegret = res.TailRegret
-
-	reg := obs.NewRegistry()
-	race := func(seed int64, label string, workers int, sharing bool) ParallelPortfolioRow {
-		row := ParallelPortfolioRow{Label: label, Workers: workers, Sharing: sharing}
-		for run := 0; run < 3; run++ {
-			c := probe3SAT(seed, probeVars, res.ProbeClauses)
-			c.Observe(reg, nil)
-			if workers > 1 {
-				c.SetPortfolio(sat.PortfolioOptions{Workers: workers, NoSharing: !sharing})
-			}
-			start := time.Now()
-			c.Solve()
-			ms := float64(time.Since(start).Microseconds()) / 1000
-			if run == 0 || ms < row.WallMS {
-				st := c.Stats()
-				row.WallMS = ms
-				row.Conflicts = st.Conflicts
-				row.SharedExported = st.SharedExported
-				row.SharedImported = st.SharedImported
-				row.SharedDropped = st.SharedDropped
-			}
-		}
-		return row
-	}
-	raceAll := func(seed int64) []ParallelPortfolioRow {
-		rows := []ParallelPortfolioRow{
-			race(seed, "k1", 1, false),
-			race(seed, "k2", 2, true),
-			race(seed, "k4", 4, true),
-			race(seed, "k2-nosharing", 2, false),
-			race(seed, "k4-nosharing", 4, false),
-		}
-		one := rows[0].WallMS
-		for i := range rows {
-			if one > 0 && rows[i].WallMS > 0 {
-				rows[i].SpeedupVsOne = one / rows[i].WallMS
-			}
-		}
-		return rows
-	}
-	res.Hardest = raceAll(res.HardestSeed)
-	res.Tail = raceAll(res.TailSeed)
-	for _, row := range res.Tail {
-		if row.Sharing && row.SpeedupVsOne > res.PortfolioSpeedup {
-			res.PortfolioSpeedup = row.SpeedupVsOne
-		}
-	}
-	if k4, k4ns := res.Hardest[2].WallMS, res.Hardest[4].WallMS; k4 > 0 {
-		res.SharingSpeedup = k4ns / k4
-	}
-	res.PortfolioRaces = reg.Counter("portfolio.races").Value()
-	res.CancelLatencySamples = reg.Histogram("portfolio.cancel_latency_ms", obs.LatencyBuckets).Count()
-
-	printRows := func(title string, seed int64, rows []ParallelPortfolioRow) {
-		fmt.Fprintf(w, "\n%s (seed %d)\n", title, seed)
-		fmt.Fprintf(w, "%-14s %8s %10s %10s %9s %9s %9s %8s\n",
-			"config", "workers", "wall(ms)", "conflicts", "exported", "imported", "dropped", "speedup")
-		for _, row := range rows {
-			fmt.Fprintf(w, "%-14s %8d %10.1f %10d %9d %9d %9d %7.2fx\n",
-				row.Label, row.Workers, row.WallMS, row.Conflicts,
-				row.SharedExported, row.SharedImported, row.SharedDropped, row.SpeedupVsOne)
-		}
-	}
-	fmt.Fprintf(w, "\nportfolio probe family: %d seeds of %d vars / %d clauses 3-SAT, max default-vs-VBS regret %.1fx\n",
-		res.ProbeSeeds, res.ProbeVars, res.ProbeClauses, res.MaxRegret)
-	printRows(fmt.Sprintf("hardest instance: %d default-config conflicts", res.HardestConflicts),
-		res.HardestSeed, res.Hardest)
-	printRows(fmt.Sprintf("tail instance: default %.1fx slower than best member", res.TailRegret),
-		res.TailSeed, res.Tail)
-	fmt.Fprintf(w, "tail-instance portfolio speedup %.2fx, hardest-instance sharing speedup %.2fx (races=%d, cancel samples=%d)\n",
-		res.PortfolioSpeedup, res.SharingSpeedup, res.PortfolioRaces, res.CancelLatencySamples)
 	return res
 }
 

@@ -8,9 +8,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -50,16 +52,6 @@ type Options struct {
 	Monolithic bool
 	// Workers bounds solver goroutines (0 = GOMAXPROCS).
 	Workers int
-	// Portfolio, when > 1, races that many configured CDCL solvers on
-	// the instance predicted hardest (diversified seeds, polarity
-	// randomization, VSIDS decay, and restart schedules; first winner
-	// cancels the rest and workers exchange glue clauses — see
-	// sat.SolvePortfolio). Only the destination whose estimated solve
-	// time dominates the remaining work gets the portfolio: racing every
-	// instance would oversubscribe the Workers pool for no wall-clock
-	// gain. Monolithic mode routes the portfolio to its single joint
-	// instance. 0 or 1 disables portfolio racing.
-	Portfolio int
 	// Strategy selects the MaxSAT search algorithm; the zero value is
 	// smt.LinearDescent, the paper's choice.
 	Strategy smt.Strategy
@@ -247,10 +239,11 @@ type InstanceStats struct {
 	// Solver holds the instance's cumulative SAT-solver counters
 	// (decisions, conflicts, restarts, ...).
 	Solver sat.Stats
-	// PortfolioWinner is the portfolio configuration index that won the
-	// instance's most recent SAT race, or -1 when no race completed
-	// (portfolio disabled for this instance, or no call produced a
-	// winner). For Cached instances it describes the original solve.
+	// Deprecated: nothing in this module sets or reads PortfolioWinner.
+	// It reported which CDCL portfolio member won an instance's SAT race;
+	// the portfolio is gone and every SAT call takes the one Solver.Solve
+	// path. The field stays only because the separate perfbench module
+	// still names it in a struct literal.
 	PortfolioWinner int
 }
 
@@ -340,11 +333,6 @@ func solveMonolithic(ctx context.Context, net *config.Network, topo *topology.To
 	esp.SetInt("vars", int64(j.Ctx.NumSATVars()))
 	esp.SetInt("deltas", int64(len(j.Deltas())))
 	esp.End()
-	if opts.Portfolio > 1 {
-		// The joint instance is the hardest instance by construction.
-		j.Ctx.SetPortfolio(sat.PortfolioOptions{Workers: opts.Portfolio})
-		msp.SetInt("portfolio", int64(opts.Portfolio))
-	}
 	r := j.SolveContext(ctx, opts.Strategy)
 	if r.Err != nil {
 		return nil, r.Err
@@ -370,8 +358,7 @@ func instanceStats(d prefix.Prefix, policies int, r *encode.Result) InstanceStat
 		Destination: d, Policies: policies,
 		NumVars: r.NumVars, NumClauses: r.NumClauses, NumDeltas: r.NumDeltas,
 		Iterations: r.Iterations, Duration: r.Duration, Sat: r.Sat,
-		Solver:          r.Stats,
-		PortfolioWinner: r.PortfolioWinner,
+		Solver: r.Stats,
 	}
 }
 
@@ -405,10 +392,6 @@ func solveInstance(ctx context.Context, net *config.Network, topo *topology.Topo
 	esp.SetInt("vars", int64(e.Ctx.NumSATVars()))
 	esp.SetInt("deltas", int64(len(e.Deltas())))
 	esp.End()
-	if opts.Portfolio > 1 {
-		e.Ctx.SetPortfolio(sat.PortfolioOptions{Workers: opts.Portfolio})
-		dsp.SetInt("portfolio", int64(opts.Portfolio))
-	}
 	r := e.SolveContext(ctx, opts.Strategy)
 	var satBit int64
 	if r.Sat {
@@ -429,6 +412,12 @@ func solveInstance(ctx context.Context, net *config.Network, topo *topology.Topo
 // could start the hardest destination last and leave every other worker
 // idle while it ran alone. The sequential path ignores est and keeps
 // the deterministic input order (total time is order-independent there).
+//
+// A panic in f on a worker goroutine stops the other workers from
+// starting further tasks and is re-raised on the caller's goroutine once
+// they have returned, with the worker's stack appended to its text, so
+// a recover above the call (aedd's job boundary) contains it; a panic
+// on a goroutine nobody recovers would kill the whole process.
 func runInstances(n int, opts Options, est []int64, f func(i int)) {
 	if opts.Sequential || n <= 1 {
 		for i := 0; i < n; i++ {
@@ -454,10 +443,18 @@ func runInstances(n int, opts Options, est []int64, f func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var panicOnce sync.Once
+	var panicked error
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					next.Store(int64(n))
+					panicOnce.Do(func() { panicked = fmt.Errorf("%v\n\n%s", p, debug.Stack()) })
+				}
+			}()
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= n {
@@ -468,38 +465,9 @@ func runInstances(n int, opts Options, est []int64, f func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// portfolioTargets decides which instances get the portfolio race: with
-// Portfolio enabled, the instance whose estimated cost dominates the
-// combined cost of all the others (it alone sets the wall clock, so
-// extra solver goroutines on it are free), or the only instance when
-// there is just one. Returns nil when portfolio mode is off or no
-// estimate dominates.
-func portfolioTargets(n int, opts Options, est []int64) []bool {
-	if opts.Portfolio <= 1 || n == 0 {
-		return nil
+	if panicked != nil {
+		panic(panicked)
 	}
-	hard := make([]bool, n)
-	if n == 1 {
-		hard[0] = true
-		return hard
-	}
-	var total int64
-	for _, e := range est {
-		total += e
-	}
-	any := false
-	for i, e := range est {
-		if e > 0 && e >= total-e {
-			hard[i] = true
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return hard
 }
 
 // explainDest computes a minimal conflicting policy subset for an

@@ -1,15 +1,13 @@
 package core
 
 import (
-	"context"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/aed-net/aed/internal/obs"
-	"github.com/aed-net/aed/internal/policy"
 )
 
 // TestParallelDefaultOverlaps pins the documented default: Options{}
@@ -82,163 +80,20 @@ func TestRunInstancesLongestFirst(t *testing.T) {
 	}
 }
 
-func TestPortfolioTargets(t *testing.T) {
-	cases := []struct {
-		name string
-		n    int
-		opts Options
-		est  []int64
-		want []bool
-	}{
-		{"off", 3, Options{}, []int64{9, 1, 1}, nil},
-		{"portfolio-one-is-off", 3, Options{Portfolio: 1}, []int64{9, 1, 1}, nil},
-		{"empty", 0, Options{Portfolio: 4}, nil, nil},
-		{"single-instance-always", 1, Options{Portfolio: 2}, []int64{0}, []bool{true}},
-		{"dominant", 3, Options{Portfolio: 2}, []int64{9, 1, 1}, []bool{true, false, false}},
-		{"no-dominator", 3, Options{Portfolio: 2}, []int64{3, 3, 3}, nil},
-		{"zero-estimates", 3, Options{Portfolio: 2}, []int64{0, 0, 0}, nil},
-		{"tie-at-half", 2, Options{Portfolio: 2}, []int64{5, 5}, []bool{true, true}},
-	}
-	for _, tc := range cases {
-		got := portfolioTargets(tc.n, tc.opts, tc.est)
-		if (got == nil) != (tc.want == nil) {
-			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
-			continue
-		}
-		for i := range tc.want {
-			if got[i] != tc.want[i] {
-				t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
-				break
+// TestRunInstancesPanicReachesCaller pins that a panic in a task on a
+// worker goroutine is re-raised on the caller's goroutine, where a
+// recover can contain it, instead of killing the process.
+func TestRunInstancesPanicReachesCaller(t *testing.T) {
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		runInstances(8, Options{Workers: 2}, nil, func(i int) {
+			if i == 1 {
+				panic("task fault")
 			}
-		}
-	}
-}
-
-// TestSessionPortfolioMatchesDefault is the end-to-end equivalence
-// check: a session solved with portfolio racing enabled must reach the
-// same sat/edit outcome as the plain path, cold and warm.
-func TestSessionPortfolioMatchesDefault(t *testing.T) {
-	net, topo := leafSpineNet(t, 3, 2)
-	ps, err := policy.Parse(`block 10.0.0.0/24 -> 10.1.0.0/24
-block 10.1.0.0/24 -> 10.2.0.0/24
-block 10.2.0.0/24 -> 10.0.0.0/24
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	base := DefaultOptions()
-	base.MinimizeLines = true
-	plain, err := NewEngine(net, topo, base).Solve(ctx, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	popts := base
-	popts.Portfolio = 3
-	eng := NewEngine(net, topo, popts)
-	cold, err := eng.Solve(ctx, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if (plain.Unsat() == nil) != (cold.Unsat() == nil) {
-		t.Fatalf("portfolio sat outcome %v != plain %v", cold.Unsat(), plain.Unsat())
-	}
-	if len(cold.Violations) != len(plain.Violations) {
-		t.Fatalf("portfolio violations %v != plain %v", cold.Violations, plain.Violations)
-	}
-	if len(cold.Edits) != len(plain.Edits) {
-		t.Errorf("portfolio edits = %d, plain = %d (both optimal, counts must agree)",
-			len(cold.Edits), len(plain.Edits))
-	}
-
-	warm, err := eng.Solve(ctx, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Unsat() != nil || len(warm.Edits) != len(cold.Edits) {
-		t.Errorf("warm portfolio solve diverged: unsat=%v edits=%d want %d",
-			warm.Unsat(), len(warm.Edits), len(cold.Edits))
-	}
-}
-
-// TestPortfolioUnderConcurrentSolve hammers the portfolio path the way
-// TestLiveSpansUnderConcurrentSolve hammers live spans: concurrent
-// Engine.Solve calls with portfolio racing on, while reader goroutines
-// drain the tracer's spans, metrics snapshot, and flight recorder the
-// whole time. Run under -race (make race / make check), this is the
-// clause-sharing ring and first-winner-cancellation race test.
-func TestPortfolioUnderConcurrentSolve(t *testing.T) {
-	net, topo := leafSpineNet(t, 3, 2)
-	ps, err := policy.Parse(`block 10.0.0.0/24 -> 10.1.0.0/24
-block 10.1.0.0/24 -> 10.2.0.0/24
-block 10.2.0.0/24 -> 10.0.0.0/24
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.NewTracer()
-	tr.SetRecorder(obs.NewRecorder(256))
-	opts := DefaultOptions()
-	opts.MinimizeLines = true
-	opts.Portfolio = 3
-	opts.Tracer = tr
-	// Force the portfolio onto every dirty instance regardless of
-	// estimates by making the engine see a single joint instance.
-	opts.Monolithic = true
-	eng := NewEngine(net, topo, opts)
-
-	stopReaders := make(chan struct{})
-	var readers sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stopReaders:
-					return
-				default:
-				}
-				_ = tr.Spans()
-				_ = tr.OpenSpans()
-				_ = tr.Metrics().Snapshot()
-				_ = tr.Recorder().Events()
-			}
-		}()
-	}
-
-	const solvers, iters = 3, 4
-	errs := make([]error, solvers)
-	var wg sync.WaitGroup
-	for i := 0; i < solvers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for n := 0; n < iters; n++ {
-				res, err := eng.Solve(context.Background(), ps)
-				if err == nil && res.Unsat() != nil {
-					err = res.Unsat()
-				}
-				if err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(stopReaders)
-	readers.Wait()
-
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("concurrent portfolio solve %d: %v", i, err)
-		}
-	}
-	m := tr.Metrics()
-	if races := m.Counter("portfolio.races").Value(); races == 0 {
-		t.Error("no portfolio races recorded under concurrent solve")
+		})
+		return nil
+	}()
+	if got == nil || !strings.Contains(fmt.Sprint(got), "task fault") {
+		t.Fatalf("recovered %v, want the task's panic", got)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"github.com/aed-net/aed/internal/obs"
 	"github.com/aed-net/aed/internal/policy"
 	"github.com/aed-net/aed/internal/prefix"
-	"github.com/aed-net/aed/internal/sat"
 	"github.com/aed-net/aed/internal/topology"
 )
 
@@ -245,13 +244,13 @@ func (s *Engine) solveDests(ctx context.Context, groups map[prefix.Prefix][]poli
 	fsp.SetInt("misses", int64(cs.misses))
 	fsp.End()
 
-	// Cost estimates for longest-expected-first dispatch and portfolio
-	// routing: the destination's last observed solve time when the
-	// session has one, its last CNF size as a proxy otherwise, and the
-	// policy-group size — the main driver of per-destination CNF size —
-	// on a fully cold start. Mixed units only occur on the first warm
-	// call after new destinations appear, where any history-first
-	// ordering is still better than FIFO.
+	// Cost estimates for longest-expected-first dispatch: the
+	// destination's last observed solve time when the session has one,
+	// its last CNF size as a proxy otherwise, and the policy-group size
+	// — the main driver of per-destination CNF size — on a fully cold
+	// start. Mixed units only occur on the first warm call after new
+	// destinations appear, where any history-first ordering is still
+	// better than FIFO.
 	est := make([]int64, len(dirty))
 	for k, i := range dirty {
 		if e, ok := s.cache[dests[i]]; ok && e.res != nil {
@@ -266,7 +265,6 @@ func (s *Engine) solveDests(ctx context.Context, groups map[prefix.Prefix][]poli
 		}
 		est[k] = int64(len(groups[dests[i]]))
 	}
-	hard := portfolioTargets(len(dirty), s.opts, est)
 
 	// Re-solve only the dirty destinations: by rebinding the live
 	// instance when the configuration delta allows it, from scratch
@@ -284,19 +282,15 @@ func (s *Engine) solveDests(ctx context.Context, groups map[prefix.Prefix][]poli
 			errs[i] = err
 			return
 		}
-		iopts := s.opts
-		if hard == nil || !hard[k] {
-			iopts.Portfolio = 0
-		}
 		if ent := liveable[i]; ent != nil {
-			if r, ok := resolveLive(ctx, ent.enc, s.net, d, iopts, tr, root, wd); ok {
+			if r, ok := resolveLive(ctx, ent.enc, s.net, d, s.opts, tr, root, wd); ok {
 				results[i], encs[i], rebound[i] = r, ent.enc, true
 				rebinds.Add(1)
 				return
 			}
 			ineligible.Add(1)
 		}
-		r, enc, err := solveInstance(ctx, s.net, s.topo, d, groups[d], iopts, tr, root, wd)
+		r, enc, err := solveInstance(ctx, s.net, s.topo, d, groups[d], s.opts, tr, root, wd)
 		results[i], errs[i] = r, err
 		if !s.opts.NoLiveInstances {
 			encs[i] = enc
@@ -366,11 +360,6 @@ func resolveLive(ctx context.Context, enc *encode.Encoder, net *config.Network,
 	if !ok {
 		return nil, false
 	}
-	// A tier-2 re-solve runs in ~ms on the warm solver; racing clones
-	// would clone the whole warm clause database per call for nothing.
-	// The live context may still carry portfolio routing from its cold
-	// solve, so switch it off explicitly.
-	enc.Ctx.SetPortfolio(sat.PortfolioOptions{})
 	dest := d.String()
 	dsp := root.Child("destination")
 	dsp.SetStr("dest", dest)

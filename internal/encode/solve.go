@@ -41,11 +41,6 @@ type Result struct {
 	// (decisions, conflicts, restarts, ...), aggregated network-wide by
 	// core.Synthesize.
 	Stats sat.Stats
-	// PortfolioWinner is the portfolio configuration index that won the
-	// most recent SAT race during this solve, or -1 when no portfolio
-	// race completed (portfolio disabled, or every call UNSAT before a
-	// winner was latched).
-	PortfolioWinner int
 }
 
 // Solve maximizes objective satisfaction subject to the hard
@@ -79,11 +74,10 @@ func solveInstrumented(ctx context.Context, sctx *smt.Context, parent *obs.Span,
 	ms.End()
 
 	out := &Result{
-		Iterations:      res.Iterations,
-		NumVars:         sctx.NumSATVars(),
-		NumClauses:      sctx.NumSATClauses(),
-		NumDeltas:       len(deltas),
-		PortfolioWinner: sctx.PortfolioWinner(),
+		Iterations: res.Iterations,
+		NumVars:    sctx.NumSATVars(),
+		NumClauses: sctx.NumSATClauses(),
+		NumDeltas:  len(deltas),
 	}
 	if res.Model == nil {
 		out.Err = res.Err

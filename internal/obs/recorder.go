@@ -51,11 +51,6 @@ const (
 	// live instance's retractable bindings instead of re-encoding:
 	// A = bindings swapped, B = re-solve duration in milliseconds.
 	EvRebind
-	// EvShareImport marks a portfolio worker integrating clauses learned
-	// by its siblings at a restart boundary: A = clauses imported in the
-	// drain, B = shared clauses missed because the ring lapped the
-	// worker's cursor.
-	EvShareImport
 	evKindCount
 )
 
@@ -73,7 +68,6 @@ var eventKindNames = [evKindCount]string{
 	EvSolveEnd:        "solve_end",
 	EvIncident:        "incident",
 	EvRebind:          "rebind",
-	EvShareImport:     "share_import",
 }
 
 func (k EventKind) String() string {

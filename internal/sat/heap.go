@@ -13,16 +13,6 @@ func newVarHeap(act *[]float64) *varHeap {
 	return &varHeap{activity: act, indices: make([]int, 1)}
 }
 
-// clone copies the heap for a cloned solver, re-pointing it at the
-// clone's activity slice so bumps stay solver-local.
-func (h *varHeap) clone(act *[]float64) *varHeap {
-	return &varHeap{
-		activity: act,
-		heap:     append([]Var(nil), h.heap...),
-		indices:  append([]int(nil), h.indices...),
-	}
-}
-
 // grow preallocates heap storage for variables up to index n-1, the
 // varHeap half of Solver.Grow.
 func (h *varHeap) grow(n int) {

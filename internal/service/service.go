@@ -31,8 +31,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -75,12 +77,6 @@ type Config struct {
 	// Workers (at least 1), so a fully loaded pool doesn't oversubscribe
 	// the machine.
 	SolveWorkers int
-	// Portfolio is the default CDCL portfolio size applied when the
-	// request doesn't set options.portfolio: that many configured
-	// solvers race on the destination predicted hardest, sharing glue
-	// clauses (core.Options.Portfolio). 0 (the default) or 1 disables
-	// racing; requests can still opt in per call.
-	Portfolio int
 	// Tracer receives every span, counter, and histogram; nil creates
 	// one with a flight recorder attached.
 	Tracer *obs.Tracer
@@ -88,9 +84,9 @@ type Config struct {
 	// extra tenants are folded into the "other" label. 0 = 64.
 	MaxTenantLabels int
 	// AccessLog, when non-nil, receives one JSON line per request (see
-	// accessEntry): identity, verdict, queue wait, solve time, cache
-	// tiers hit, and the portfolio winner. Writes are serialized; nil
-	// (the default) disables the log.
+	// accessEntry): identity, verdict, queue wait, solve time and cache
+	// tiers hit. Writes are serialized; nil (the default) disables the
+	// log.
 	AccessLog io.Writer
 }
 
@@ -150,6 +146,11 @@ type Server struct {
 	// Access log (requests.go); alMu serializes lines.
 	alMu      sync.Mutex
 	accessLog io.Writer
+
+	// beforeSolve, when set, runs just before each job's solve (under
+	// the session lock for session requests). It is a test seam: tests
+	// make it panic to exercise the job-boundary recover.
+	beforeSolve func(*job)
 }
 
 // job is one admitted request travelling from handler to worker.
@@ -323,11 +324,38 @@ func (s *Server) worker() {
 			ObserveExemplar(float64(wait.Microseconds())/1000, j.req.RequestID)
 		j.fl.setState("solving")
 		solveStart := time.Now()
-		resp, err := s.execute(j)
+		resp, err := s.run(j)
 		j.ctx.cancel()
 		m.Counter("aedd.completed").Add(1)
 		j.done <- jobResult{resp: resp, err: err, queueWait: wait, solve: time.Since(solveStart)}
 	}
+}
+
+// run executes one job and contains a panic anywhere in its solve path
+// to that job: the request fails with an internal error (HTTP 500)
+// naming its ID, aedd.panics counts it, the panic and its stack go to
+// the process log, and the worker stays in the pool, so other tenants'
+// solves and the admitted == completed drain guarantee survive. A named
+// session is dropped, since its engine may be half-updated; the next
+// request on that name rebuilds it.
+func (s *Server) run(j *job) (resp *api.Response, err error) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		s.tr.Metrics().Counter("aedd.panics").Add(1)
+		log.Printf("aedd: panic in request %s: %v\n%s", j.req.RequestID, p, debug.Stack())
+		if j.req.Session != "" {
+			s.dropSession(j.tenant + "/" + j.req.Session)
+		}
+		// The wire message carries the panic's first line only; a panic
+		// re-raised from a destination worker appends that worker's
+		// stack, which belongs in the log, not in the response.
+		msg, _, _ := strings.Cut(fmt.Sprint(p), "\n")
+		resp, err = nil, fmt.Errorf("aedd: request %s: internal error: %s", j.req.RequestID, msg)
+	}()
+	return s.execute(j)
 }
 
 // execute runs one admitted job: resolve or build the session (when
@@ -342,14 +370,12 @@ func (s *Server) execute(j *job) (*api.Response, error) {
 	var res *core.Result
 	var err error
 	if j.req.Session == "" {
+		if s.beforeSolve != nil {
+			s.beforeSolve(j)
+		}
 		res, err = core.SynthesizeContext(j.ctx.ctx, prob.Net, prob.Topo, prob.Policies, prob.Opts)
 	} else {
-		sess := s.resolveSession(j.tenant, j.req, prob)
-		sess.mu.Lock()
-		sess.eng.SetNetwork(prob.Net)
-		res, err = sess.eng.Solve(j.ctx.ctx, prob.Policies)
-		sess.solves++
-		sess.mu.Unlock()
+		res, err = s.solveSession(j, s.resolveSession(j.tenant, j.req, prob))
 	}
 
 	// Charge the solver time actually consumed, whatever the outcome:
@@ -371,6 +397,21 @@ func (s *Server) execute(j *job) (*api.Response, error) {
 		return nil, u
 	}
 	return api.FromResult(res), nil
+}
+
+// solveSession runs one job's solve on its live session. The session
+// lock is released by defer, so a panicking solve cannot wedge later
+// requests on the same session.
+func (s *Server) solveSession(j *job, sess *session) (*core.Result, error) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if s.beforeSolve != nil {
+		s.beforeSolve(j)
+	}
+	sess.eng.SetNetwork(j.prob.Net)
+	res, err := sess.eng.Solve(j.ctx.ctx, j.prob.Policies)
+	sess.solves++
+	return res, err
 }
 
 // resolveSession returns the live session for (tenant, name), building
@@ -524,9 +565,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if prob.Opts.Workers == 0 {
 		prob.Opts.Workers = s.cfg.SolveWorkers
 	}
-	if prob.Opts.Portfolio == 0 {
-		prob.Opts.Portfolio = s.cfg.Portfolio
-	}
 	enqueued := time.Now()
 	fl, untrack := s.trackRequest(reqID, tenant, req.Session, enqueued)
 	defer untrack()
@@ -601,19 +639,24 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	key := tenant + "/" + name
-	s.mu.Lock()
-	_, ok := s.sessions[key]
-	if ok {
-		delete(s.sessions, key)
-		s.tr.Metrics().Gauge("aedd.sessions").Set(int64(len(s.sessions)))
-	}
-	s.mu.Unlock()
-	if !ok {
+	if !s.dropSession(tenant + "/" + name) {
 		writeError(w, fmt.Errorf("aedd: session %q (tenant %q): %w", name, tenant, api.ErrSessionNotFound))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// dropSession removes the session under key and reports whether there
+// was one.
+func (s *Server) dropSession(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.sessions[key]; !ok {
+		return false
+	}
+	delete(s.sessions, key)
+	s.tr.Metrics().Gauge("aedd.sessions").Set(int64(len(s.sessions)))
+	return true
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

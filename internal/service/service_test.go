@@ -529,3 +529,42 @@ func TestTenantLabelCap(t *testing.T) {
 		t.Errorf("label(a) second lookup = %q", got)
 	}
 }
+
+// TestSolvePanicContained injects a panic into a solve, one-shot and
+// session, and pins the containment contract: the request fails with a
+// 500 internal error naming its ID, the counters still balance, and the
+// one worker of the pool goes on serving — including the session whose
+// solve panicked while holding its lock.
+func TestSolvePanicContained(t *testing.T) {
+	f := newFixture(2, 1)
+	svc, cl := start(t, Config{Workers: 1})
+	var fail sync.Map // request ID -> panic once
+	svc.beforeSolve = func(j *job) {
+		if _, ok := fail.LoadAndDelete(j.req.RequestID); ok {
+			panic("injected solve fault")
+		}
+	}
+	ctx := context.Background()
+	for _, session := range []string{"", "s"} {
+		req := f.request("", session)
+		req.RequestID = "boom-" + session
+		fail.Store(req.RequestID, true)
+		code, w := rawStatus(t, cl.Base, req)
+		if code != http.StatusInternalServerError || w.Code != api.CodeInternal {
+			t.Fatalf("session %q: panicking solve = %d %q, want 500 %q", session, code, w.Code, api.CodeInternal)
+		}
+		if !strings.Contains(w.Message, req.RequestID) || !strings.Contains(w.Message, "injected solve fault") {
+			t.Errorf("session %q: message %q lacks the request ID or the panic", session, w.Message)
+		}
+		if _, err := cl.Do(ctx, f.request("", session)); err != nil {
+			t.Fatalf("session %q: solve after the panic: %v", session, err)
+		}
+	}
+	m := svc.tr.Metrics()
+	if got := m.Counter("aedd.panics").Value(); got != 2 {
+		t.Errorf("aedd.panics = %d, want 2", got)
+	}
+	if a, c := m.Counter("aedd.admitted").Value(), m.Counter("aedd.completed").Value(); a != 4 || c != 4 {
+		t.Errorf("admitted = %d, completed = %d, want 4 and 4", a, c)
+	}
+}

@@ -79,18 +79,6 @@ type Context struct {
 	// the cancellation cause once a solve call is actually interrupted.
 	ctx          context.Context
 	interruptErr error
-
-	// portfolio, when Workers > 1, routes every SAT call made through
-	// solveTimed to sat.SolvePortfolio: K configured solvers race on the
-	// instance, the first winner cancels the rest, and the winner's
-	// model/core is adopted so the MaxSAT searches above are none the
-	// wiser. See SetPortfolio.
-	portfolio sat.PortfolioOptions
-
-	// portfolioWinner latches the winning configuration index of the
-	// most recent portfolio race (-1, set by NewContext, until a race
-	// has a winner); see PortfolioWinner.
-	portfolioWinner int
 }
 
 type softConstraint struct {
@@ -118,8 +106,6 @@ func NewContext() *Context {
 		hashMemo:     make(map[*Formula]uint64),
 		internTab:    make(map[uint64][]internEntry),
 		totalN:       -1,
-
-		portfolioWinner: -1,
 	}
 }
 
@@ -256,8 +242,6 @@ func (c *Context) Observe(reg *obs.Registry, span *obs.Span) {
 				rec.Record(obs.EvReduceDB, a, b)
 			case sat.EventArenaGC:
 				rec.Record(obs.EvArenaGC, a, b)
-			case sat.EventShareImport:
-				rec.Record(obs.EvShareImport, a, b)
 			}
 		}
 	} else {
@@ -273,9 +257,6 @@ func (c *Context) Observe(reg *obs.Registry, span *obs.Span) {
 	glue := reg.Counter("solver.glue_learned")
 	lbdSum := reg.Counter("solver.lbd_sum")
 	gcs := reg.Counter("solver.arena_gcs")
-	sharedExp := reg.Counter("solver.shared_exported")
-	sharedImp := reg.Counter("solver.shared_imported")
-	sharedDrop := reg.Counter("solver.shared_dropped")
 	trail := reg.Gauge("solver.trail_depth")
 	learnts := reg.Gauge("solver.learnt_clauses")
 	peak := reg.Gauge("solver.arena_peak_bytes")
@@ -292,9 +273,6 @@ func (c *Context) Observe(reg *obs.Registry, span *obs.Span) {
 		glue.Add(d.GlueLearned)
 		lbdSum.Add(d.LBDSum)
 		gcs.Add(d.ArenaGCs)
-		sharedExp.Add(d.SharedExported)
-		sharedImp.Add(d.SharedImported)
-		sharedDrop.Add(d.SharedDropped)
 		trail.Set(int64(p.TrailDepth))
 		learnts.Set(int64(p.LearntClauses))
 		peak.Set(p.Stats.PeakClauseBytes)
@@ -332,30 +310,6 @@ func (c *Context) SetInterrupt(ctx context.Context) {
 // that from genuine UNSAT.
 func (c *Context) Err() error { return c.interruptErr }
 
-// SetPortfolio routes this context's SAT calls through a portfolio race
-// of opts.Workers configured solvers (first winner cancels the rest,
-// glue clauses shared unless opts.NoSharing). Workers <= 1 restores the
-// plain single-solver path. The SetInterrupt Stop hook keeps working: it
-// is consulted by every racing worker, so context cancellation stops the
-// whole portfolio.
-func (c *Context) SetPortfolio(opts sat.PortfolioOptions) { c.portfolio = opts }
-
-// SetSolverConfig applies a CDCL configuration (decision seed, random
-// polarity rate, VSIDS decay, restart policy) to the context's own
-// solver — the single-solver analog of SetPortfolio, used to measure
-// one portfolio member in isolation.
-func (c *Context) SetSolverConfig(cfg sat.Config) { c.solver.SetConfig(cfg) }
-
-// PortfolioWorkers reports the portfolio width currently routed through
-// solveTimed (0 or 1 both mean the plain single-solver path).
-func (c *Context) PortfolioWorkers() int { return c.portfolio.Workers }
-
-// PortfolioWinner reports the winning configuration index of the most
-// recent portfolio race run on this context, or -1 when no race has
-// produced a winner — the provenance bit the service access log reports
-// per instance.
-func (c *Context) PortfolioWinner() int { return c.portfolioWinner }
-
 // SetSpan makes sp the parent of the sat.solve spans of later SAT calls
 // and returns the previous parent, so a caller can nest one search's
 // calls under its own span and then restore the one Observe installed.
@@ -375,34 +329,15 @@ func (c *Context) solveTimed(assumptions ...sat.Lit) sat.Status {
 	assumptions = c.withSelectors(assumptions)
 	var st sat.Status
 	if c.reg == nil {
-		if c.portfolio.Workers > 1 {
-			var ps sat.PortfolioStats
-			st, ps = c.solver.SolvePortfolio(c.portfolio, assumptions...)
-			if ps.Winner >= 0 {
-				c.portfolioWinner = ps.Winner
-			}
-		} else {
-			st = c.solver.Solve(assumptions...)
-		}
+		st = c.solver.Solve(assumptions...)
 	} else {
 		start := time.Now()
 		// One span per SAT call, parented under the current search's
 		// span (see SetSpan): the sat-layer leaf of the request trace, so
 		// aedtrace -request resolves a slow request down to the
-		// individual CDCL searches (and their portfolio races) it paid
-		// for.
+		// individual CDCL searches it paid for.
 		ssp := c.span.Child("sat.solve")
-		if c.portfolio.Workers > 1 {
-			var ps sat.PortfolioStats
-			st, ps = c.solver.SolvePortfolio(c.portfolio, assumptions...)
-			c.notePortfolio(ps)
-			ssp.SetInt("portfolio", int64(c.portfolio.Workers))
-			if ps.Winner >= 0 {
-				ssp.SetInt("winner", int64(ps.Winner))
-			}
-		} else {
-			st = c.solver.Solve(assumptions...)
-		}
+		st = c.solver.Solve(assumptions...)
 		ssp.SetStr("status", st.String())
 		ssp.SetInt("assumptions", int64(len(assumptions)))
 		ssp.End()
@@ -416,20 +351,6 @@ func (c *Context) solveTimed(assumptions ...sat.Lit) sat.Status {
 		}
 	}
 	return st
-}
-
-// notePortfolio publishes one portfolio race's outcome to the registry:
-// the race count, the winning configuration (by worker index, so the
-// spread over `portfolio.winner.cfg*` shows which diversification pays),
-// and the first-winner cancellation latency.
-func (c *Context) notePortfolio(ps sat.PortfolioStats) {
-	c.reg.Counter("portfolio.races").Add(1)
-	if ps.Winner >= 0 {
-		c.portfolioWinner = ps.Winner
-		c.reg.Counter(fmt.Sprintf("portfolio.winner.cfg%d", ps.Winner)).Add(1)
-		c.reg.Histogram("portfolio.cancel_latency_ms", obs.LatencyBuckets).
-			Observe(float64(ps.CancelLatency.Microseconds()) / 1000)
-	}
 }
 
 // tseitin returns a literal equisatisfiably representing f, memoized
